@@ -198,8 +198,9 @@ func runExp1Cell(cfg Exp1Config, size topology.Params, scen topology.Scenario, c
 // PlaceSessions attaches 2·count hosts to the topology, dedicates one source
 // host per session (the paper's one-session-per-source-host rule), draws
 // destinations uniformly at random, and registers the sessions with the
-// network. Path resolution groups sessions by source router so the BFS
-// cache is effective. Any generated topology works: transit-stub and
+// network. Path resolution groups sessions by source router, so each
+// source's cached BFS tree is expanded once and every later session from it
+// resumes that tree instead of starting a new one. Any generated topology works: transit-stub and
 // internet-scale topologies both satisfy topology.Hosted.
 func PlaceSessions(topo topology.Hosted, net *network.Network, count int) ([]*network.Session, error) {
 	hosts := topo.AddHosts(2 * count)

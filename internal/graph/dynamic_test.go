@@ -155,3 +155,47 @@ func TestResolverStaleTreeRecomputed(t *testing.T) {
 		t.Fatalf("stale cached tree served after mutation: path %v", p)
 	}
 }
+
+// TestResolverSeesGraphGrowth pins that routers and router links added after
+// a tree was cached reach the resolver (Connect and AddRouter do not bump
+// the generation), while attaching hosts keeps the cached trees.
+func TestResolverSeesGraphGrowth(t *testing.T) {
+	g := New()
+	a, b, c := g.AddRouter("a"), g.AddRouter("b"), g.AddRouter("c")
+	capacity := rate.Mbps(10)
+	g.Connect(a, b, capacity, 0)
+	g.Connect(b, c, capacity, 0)
+	r := NewResolver(g, 4)
+	if p, err := r.RouterPath(a, c); err != nil || len(p) != 2 {
+		t.Fatalf("RouterPath(a, c) = %v, %v; want 2 hops", p, err)
+	}
+
+	ac, _ := g.Connect(a, c, capacity, 0)
+	if p, err := r.RouterPath(a, c); err != nil || len(p) != 1 || p[0] != ac {
+		t.Fatalf("after Connect(a, c): RouterPath(a, c) = %v, %v; want [%d]", p, err, ac)
+	}
+
+	d := g.AddRouter("d")
+	if _, err := r.RouterPath(a, d); err == nil {
+		t.Fatal("RouterPath reached an unconnected new router")
+	}
+	cd, _ := g.Connect(c, d, capacity, 0)
+	if p, err := r.RouterPath(a, d); err != nil || len(p) != 2 || p[0] != ac || p[1] != cd {
+		t.Fatalf("RouterPath(a, d) = %v, %v; want [%d %d]", p, err, ac, cd)
+	}
+
+	tree := r.cache[a]
+	ha, hd := g.AddHost("ha"), g.AddHost("hd")
+	g.Connect(ha, a, capacity, 0)
+	g.Connect(hd, d, capacity, 0)
+	p, err := r.HostPath(ha, hd)
+	if err != nil || len(p) != 4 {
+		t.Fatalf("HostPath(ha, hd) = %v, %v; want 4 links", p, err)
+	}
+	if err := ValidatePath(g, p); err != nil {
+		t.Fatal(err)
+	}
+	if r.cache[a] != tree {
+		t.Fatal("attaching hosts dropped a cached router tree")
+	}
+}

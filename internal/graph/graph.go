@@ -265,21 +265,12 @@ func (g *Graph) Hosts() []NodeID {
 
 // HostRouter returns the router a host is attached to. It panics if id is
 // not a host or the host is unattached.
-func (g *Graph) HostRouter(id NodeID) NodeID {
-	n := g.Node(id)
-	if n.Kind != Host {
-		panic(fmt.Sprintf("graph: node %d is not a host", id))
-	}
-	for _, l := range g.out[id] {
-		return g.links[l].To
-	}
-	panic(fmt.Sprintf("graph: host %d is unattached", id))
-}
+func (g *Graph) HostRouter(id NodeID) NodeID { return g.links[g.AccessLink(id)].To }
 
 // AccessLink returns the host→router link of a host.
 func (g *Graph) AccessLink(id NodeID) LinkID {
-	n := g.Node(id)
-	if n.Kind != Host {
+	g.checkNode(id)
+	if g.nodes[id].Kind != Host {
 		panic(fmt.Sprintf("graph: node %d is not a host", id))
 	}
 	for _, l := range g.out[id] {
