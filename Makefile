@@ -45,7 +45,8 @@ bench:
 bench-full:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-# Machine-readable perf snapshot: engine scheduling, protocol throughput,
+# Machine-readable perf snapshot: engine scheduling, rate arithmetic in
+# each representation tier, protocol throughput,
 # the dynamic-topology reconfiguration benchmark, the sharded-engine scaling
 # sweep (classic vs 1/2/4 shards, LAN and WAN), the live-Emit contention
 # benchmark, the internet-topology ladder (paper/metro/internet rungs at
@@ -56,7 +57,7 @@ bench-full:
 # ladder's 10k-router rungs run exactly once each.
 bench-json:
 	@tmp=$$(mktemp); \
-	{ $(GO) test -bench=SimEngine -benchmem -run='^$$' . > $$tmp && \
+	{ $(GO) test -bench='SimEngine|Rate(Add|Cmp|DivInt|Bottleneck)$$' -benchmem -run='^$$' . ./internal/rate > $$tmp && \
 	  $(GO) test -bench='ProtocolThroughput|Reconfiguration|ShardedEngine|LiveEmit' -benchtime=3x -benchmem -run='^$$' . >> $$tmp && \
 	  $(GO) test -bench='InternetLadder|OracleChurn' -benchtime=1x -benchmem -timeout=30m -run='^$$' . >> $$tmp && \
 	  $(GO) run ./cmd/benchjson -out $(BENCH_OUT) < $$tmp; }; \

@@ -210,28 +210,6 @@ func BenchmarkExp3SmallBaselines(b *testing.B) {
 // Micro-benchmarks of the substrates.
 // ---------------------------------------------------------------------------
 
-func BenchmarkRateArithmetic(b *testing.B) {
-	b.Run("AddSmall", func(b *testing.B) {
-		x, y := rate.FromFrac(100_000_000, 3), rate.FromFrac(55_000_000, 7)
-		for i := 0; i < b.N; i++ {
-			_ = x.Add(y)
-		}
-	})
-	b.Run("CmpSmall", func(b *testing.B) {
-		x, y := rate.FromFrac(100_000_000, 3), rate.FromFrac(55_000_000, 7)
-		for i := 0; i < b.N; i++ {
-			_ = x.Cmp(y)
-		}
-	})
-	b.Run("BottleneckFormula", func(b *testing.B) {
-		c := rate.Mbps(500)
-		sum := rate.FromFrac(123_456_789, 7)
-		for i := 0; i < b.N; i++ {
-			_ = c.Sub(sum).DivInt(97)
-		}
-	})
-}
-
 func BenchmarkSimEngine(b *testing.B) {
 	b.Run("ScheduleExecute", func(b *testing.B) {
 		eng := sim.New()

@@ -8,11 +8,23 @@
 // the protocol would either livelock (endless Update cycles) or mis-declare
 // bottlenecks. Rates are therefore exact rationals.
 //
-// A Rate is immutable. The implementation keeps an int64 numerator and
-// denominator fast path and transparently promotes to math/big.Rat when an
-// operation would overflow. Values are always normalized (reduced fraction,
-// positive denominator, demoted to the int64 path whenever they fit), so two
-// equal rates always have identical representations and Key strings.
+// A Rate is immutable and stored in one of three tiers, chosen by the size
+// of the value alone:
+//
+//   - int64: numerator and denominator fit in int64 (numerator above
+//     math.MinInt64, so negation stays in the tier). Every rate of the
+//     internet rungs lives here, on a fast path with no 128-bit work.
+//   - 128-bit: numerator and denominator magnitudes below 2^127, with
+//     arithmetic on 64-bit limbs from math/bits. The paper's transit-stub
+//     LAN composes B_e = (C_e - Σ λ)/|R_e| into such values. Those whose
+//     magnitudes fit 192 bits together are packed into the Rate itself and
+//     cost no allocation; the others take one small heap cell.
+//   - big.Rat: everything larger, on the heap.
+//
+// Values are always normalized (reduced fraction, positive denominator, the
+// narrowest tier that holds them and, in the 128-bit tier, packed whenever
+// they fit), so two equal rates always have equal Key strings. Compare
+// rates with Equal: values held on the heap differ by pointer.
 //
 // The zero value of Rate is the rate 0.
 package rate
@@ -27,31 +39,81 @@ import (
 // Rate is an exact rational number of bits per second (or any other unit the
 // caller chooses), with a distinguished +∞ used for unbounded session
 // demands. Rate values are immutable; all methods return new values.
+//
+// A Rate is 32 bytes in four fields, which is what lets the compiler keep
+// it in registers: a fifth field or more bytes send every Rate through
+// memory, and padding Rate to 48 bytes made the int64 fast path of
+// B_e = (C_e - Σ λ)/|R_e| about 80% slower. So the 128-bit tier packs its magnitudes into the three data
+// words when they fit there together (see wide.go), and only the rest take
+// a small heap cell.
 type Rate struct {
-	// Exactly one interpretation applies, checked in this order:
-	//   inf       => +∞
-	//   br != nil => value is *br (normalized, does not fit int64 fast path)
-	//   den != 0  => value is num/den (reduced, den > 0)
-	//   otherwise => value is 0 (the useful zero value)
-	num int64
-	den int64
-	br  *big.Rat
-	inf bool
+	// x says which tier applies:
+	//   x == nil           => int64: num/den (reduced, den > 0), or 0 when
+	//                         den == 0 (the useful zero value)
+	//   x.kind == tierWide => 128-bit: magnitudes packed into num, den and
+	//                         w2 as laid out by x, a static tag, or held in
+	//                         x itself when x.split == 0 (wide.go)
+	//   x.kind == tierBig  => *x.br (normalized, does not fit the narrower
+	//                         tiers)
+	//   x == &infTag       => +∞
+	num, den int64
+	w2       uint64
+	x        *ext
 }
+
+// ext is what a Rate outside the int64 tier points to: a static tag for
+// packed 128-bit values and for +∞, or a heap cell holding a 128-bit value
+// too long to pack or a big.Rat.
+type ext struct {
+	kind tier
+	// neg is the sign of a 128-bit value. split is the bit length of its
+	// denominator when packed, or 0 when num and den hold its magnitudes.
+	neg      bool
+	split    uint8
+	num, den u128
+	br       *big.Rat
+}
+
+type tier uint8
+
+const (
+	tierInt tier = iota
+	tierWide
+	tierBig
+	tierInf
+)
+
+// tier returns the tier r is stored in.
+func (r Rate) tier() tier {
+	if r.x == nil {
+		return tierInt
+	}
+	return r.x.kind
+}
+
+var infTag = ext{kind: tierInf}
 
 // Zero is the rate 0.
 var Zero = Rate{num: 0, den: 1}
 
 // Inf is the unbounded rate +∞, used for sessions with no maximum demand.
-var Inf = Rate{inf: true}
+var Inf = Rate{x: &infTag}
 
 // FromInt64 returns the rate v/1.
-func FromInt64(v int64) Rate { return Rate{num: v, den: 1} }
+func FromInt64(v int64) Rate {
+	if v == math.MinInt64 {
+		return fromMinInt64(v, 1)
+	}
+	return Rate{num: v, den: 1}
+}
 
 // FromFrac returns the rate num/den. It panics if den == 0.
 func FromFrac(num, den int64) Rate {
 	if den == 0 {
 		panic("rate: zero denominator")
+	}
+	if num == math.MinInt64 || den == math.MinInt64 {
+		return fromMinInt64(num, den)
 	}
 	return normalizeInt(num, den)
 }
@@ -63,7 +125,17 @@ func FromBigRat(r *big.Rat) Rate { return normalizeBig(new(big.Rat).Set(r)) }
 // It is a convenience for building topologies with the paper's capacities.
 func Mbps(v int64) Rate { return FromInt64(v * 1_000_000) }
 
-// normalizeInt reduces num/den and returns the canonical Rate.
+// fromMinInt64 returns num/den where either is math.MinInt64, whose
+// magnitude 2^63 has no int64 negation, through the 128-bit tier.
+func fromMinInt64(num, den int64) Rate {
+	n, d := absU64(num), absU64(den)
+	g := gcd64u(n, d)
+	r, _ := fromWide((num < 0) != (den < 0), u128{lo: n / g}, u128{lo: d / g})
+	return r
+}
+
+// normalizeInt reduces num/den and returns the canonical Rate. Neither may
+// be math.MinInt64.
 func normalizeInt(num, den int64) Rate {
 	if den < 0 {
 		num, den = -num, -den
@@ -75,14 +147,20 @@ func normalizeInt(num, den int64) Rate {
 	return Rate{num: num / g, den: den / g}
 }
 
-// normalizeBig demotes r to the int64 fast path when possible. It takes
+// normalizeBig demotes r to the narrowest tier that holds it. It takes
 // ownership of r.
 func normalizeBig(r *big.Rat) Rate {
-	if r.Num().IsInt64() && r.Denom().IsInt64() {
-		// big.Rat is always normalized with positive denominator.
-		return Rate{num: r.Num().Int64(), den: r.Denom().Int64()}
+	// big.Rat is always normalized with positive denominator.
+	n, d := r.Num(), r.Denom()
+	switch {
+	case n.BitLen() <= 63 && d.BitLen() <= 63:
+		return Rate{num: n.Int64(), den: d.Int64()}
+	case n.BitLen() <= 127 && d.BitLen() <= 127:
+		if w, ok := fromWide(n.Sign() < 0, u128Of(n), u128Of(d)); ok {
+			return w
+		}
 	}
-	return Rate{br: r}
+	return Rate{x: &ext{kind: tierBig, br: r}}
 }
 
 func abs64(v int64) int64 {
@@ -103,20 +181,27 @@ func gcd64(a, b int64) int64 {
 }
 
 // IsInf reports whether r is +∞.
-func (r Rate) IsInf() bool { return r.inf }
+func (r Rate) IsInf() bool { return r.x == &infTag }
 
 // IsZero reports whether r is 0.
 func (r Rate) IsZero() bool {
-	return !r.inf && r.br == nil && (r.den == 0 || r.num == 0)
+	return r.x == nil && (r.den == 0 || r.num == 0)
 }
 
 // Sign returns -1, 0 or +1 according to the sign of r. +∞ has sign +1.
 func (r Rate) Sign() int {
-	switch {
-	case r.inf:
+	switch r.tier() {
+	case tierInf:
 		return 1
-	case r.br != nil:
-		return r.br.Sign()
+	case tierBig:
+		return r.x.br.Sign()
+	case tierWide:
+		if r.x.neg {
+			return -1
+		}
+		return 1
+	}
+	switch {
 	case r.den == 0 || r.num == 0:
 		return 0
 	case r.num < 0:
@@ -127,13 +212,16 @@ func (r Rate) Sign() int {
 }
 
 // toBig returns the value as a big.Rat. It panics on +∞. The result must not
-// be mutated when it aliases r.br; callers that mutate must copy.
+// be mutated when it aliases x.br; callers that mutate must copy.
 func (r Rate) toBig() *big.Rat {
-	if r.inf {
+	switch r.tier() {
+	case tierInf:
 		panic("rate: toBig on +Inf")
-	}
-	if r.br != nil {
-		return r.br
+	case tierBig:
+		return r.x.br
+	case tierWide:
+		neg, n, d, _ := r.wide()
+		return new(big.Rat).SetFrac(n.bigInt(neg), d.bigInt(false))
 	}
 	if r.den == 0 {
 		return new(big.Rat)
@@ -144,7 +232,7 @@ func (r Rate) toBig() *big.Rat {
 // parts returns the int64 numerator and denominator, normalizing the zero
 // value, and whether the fast path applies.
 func (r Rate) parts() (num, den int64, ok bool) {
-	if r.inf || r.br != nil {
+	if r.x != nil {
 		return 0, 0, false
 	}
 	if r.den == 0 {
@@ -153,21 +241,24 @@ func (r Rate) parts() (num, den int64, ok bool) {
 	return r.num, r.den, true
 }
 
-// mul64 multiplies two int64s, reporting whether the result fits in an int64.
+// mul64 multiplies two int64s other than math.MinInt64, reporting whether
+// the result fits in the int64 tier (which excludes math.MinInt64).
 func mul64(a, b int64) (int64, bool) {
 	if a == 0 || b == 0 {
 		return 0, true
 	}
 	p := a * b
-	if p/b != a {
+	if p/b != a || p == math.MinInt64 {
 		return 0, false
 	}
 	return p, true
 }
 
+// add64 adds two int64s other than math.MinInt64, reporting whether the
+// result fits in the int64 tier.
 func add64(a, b int64) (int64, bool) {
 	s := a + b
-	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
+	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) || s == math.MinInt64 {
 		return 0, false
 	}
 	return s, true
@@ -175,26 +266,44 @@ func add64(a, b int64) (int64, bool) {
 
 // Add returns r + o. Adding anything to +∞ yields +∞.
 func (r Rate) Add(o Rate) Rate {
-	if r.inf || o.inf {
-		return Inf
-	}
 	rn, rd, rok := r.parts()
 	on, od, ook := o.parts()
 	if rok && ook {
-		// Knuth's reduced rational addition: with g = gcd(rd, od),
-		// r + o = (rn*(od/g) + on*(rd/g)) / (rd*(od/g)), which keeps the
-		// intermediates as small as possible and so stays on the int64 fast
-		// path far longer than the textbook cross-multiplication.
-		g := gcd64(rd, od)
-		odg, rdg := od/g, rd/g
-		a, ok1 := mul64(rn, odg)
-		b, ok2 := mul64(on, rdg)
-		d, ok3 := mul64(rd, odg)
-		if ok1 && ok2 && ok3 {
-			if n, ok := add64(a, b); ok {
-				return normalizeInt(n, d)
-			}
+		if s, ok := addInt(rn, rd, on, od); ok {
+			return s
 		}
+	}
+	if r.IsInf() || o.IsInf() {
+		return Inf
+	}
+	return addOther(r, o)
+}
+
+// addInt returns rn/rd + on/od on the int64 fast path, and false when an
+// intermediate leaves the int64 tier. It is Knuth's reduced rational
+// addition: with g = gcd(rd, od), the sum is
+// (rn*(od/g) + on*(rd/g)) / (rd*(od/g)), which keeps the intermediates as
+// small as possible and so stays on the fast path far longer than the
+// textbook cross-multiplication.
+func addInt(rn, rd, on, od int64) (Rate, bool) {
+	g := gcd64(rd, od)
+	odg, rdg := od/g, rd/g
+	a, ok1 := mul64(rn, odg)
+	b, ok2 := mul64(on, rdg)
+	d, ok3 := mul64(rd, odg)
+	if ok1 && ok2 && ok3 {
+		if n, ok := add64(a, b); ok {
+			return normalizeInt(n, d), true
+		}
+	}
+	return Rate{}, false
+}
+
+// addOther is Add for finite operands off the int64 fast path: the 128-bit
+// tier when both operands and the sum fit, big.Rat otherwise.
+func addOther(r, o Rate) Rate {
+	if s, ok := addWide(r, o); ok {
+		return s
 	}
 	return normalizeBig(new(big.Rat).Add(r.toBig(), o.toBig()))
 }
@@ -202,26 +311,45 @@ func (r Rate) Add(o Rate) Rate {
 // Sub returns r - o. It panics if o is +∞ and r is finite; ∞ - x = ∞ for
 // finite x.
 func (r Rate) Sub(o Rate) Rate {
-	if r.inf {
-		if o.inf {
+	// Negating an int64-tier numerator cannot overflow (the tier excludes
+	// MinInt64), so the fast path subtracts without building -o.
+	rn, rd, rok := r.parts()
+	on, od, ook := o.parts()
+	if rok && ook {
+		if s, ok := addInt(rn, rd, -on, od); ok {
+			return s
+		}
+	}
+	if r.IsInf() {
+		if o.IsInf() {
 			panic("rate: Inf - Inf")
 		}
 		return Inf
 	}
-	if o.inf {
+	if o.IsInf() {
 		panic("rate: finite - Inf")
 	}
-	return r.Add(o.Neg())
+	return addOther(r, o.Neg())
 }
 
 // Neg returns -r. It panics on +∞.
 func (r Rate) Neg() Rate {
-	if r.inf {
+	switch r.tier() {
+	case tierInf:
 		panic("rate: Neg on +Inf")
+	case tierBig:
+		return normalizeBig(new(big.Rat).Neg(r.x.br))
+	case tierWide:
+		if r.x.split == 0 {
+			e := *r.x
+			e.neg = !e.neg
+			r.x = &e
+		} else {
+			r.x = wideTag(!r.x.neg, r.x.split)
+		}
+		return r
 	}
-	if r.br != nil {
-		return normalizeBig(new(big.Rat).Neg(r.br))
-	}
+	// The int64 tier excludes MinInt64, so -n does not overflow.
 	n, d, _ := r.parts()
 	return Rate{num: -n, den: d}
 }
@@ -231,9 +359,6 @@ func (r Rate) DivInt(n int) Rate {
 	if n <= 0 {
 		panic("rate: DivInt by non-positive")
 	}
-	if r.inf {
-		return Inf
-	}
 	rn, rd, ok := r.parts()
 	if ok {
 		// Divide the gcd out of the numerator first so the new denominator
@@ -242,6 +367,12 @@ func (r Rate) DivInt(n int) Rate {
 		if d, ok := mul64(rd, int64(n)/g); ok {
 			return normalizeInt(rn/g, d)
 		}
+	}
+	if r.IsInf() {
+		return Inf
+	}
+	if q, ok := divIntWide(r, uint64(n)); ok {
+		return q
 	}
 	q := new(big.Rat).SetFrac(big.NewInt(1), big.NewInt(int64(n)))
 	return normalizeBig(q.Mul(q, r.toBig()))
@@ -253,15 +384,21 @@ func (r Rate) MulInt(n int) Rate {
 	if n < 0 {
 		panic("rate: MulInt by negative")
 	}
-	if r.inf {
-		return Inf
-	}
 	rn, rd, ok := r.parts()
 	if ok {
 		g := gcd64(rd, int64(n))
 		if p, ok := mul64(rn, int64(n)/g); ok {
 			return normalizeInt(p, rd/g)
 		}
+	}
+	if r.IsInf() {
+		return Inf
+	}
+	if n == 0 {
+		return Zero
+	}
+	if p, ok := mulIntWide(r, uint64(n)); ok {
+		return p
 	}
 	q := new(big.Rat).SetInt64(int64(n))
 	return normalizeBig(q.Mul(q, r.toBig()))
@@ -270,14 +407,6 @@ func (r Rate) MulInt(n int) Rate {
 // Cmp compares r and o, returning -1, 0 or +1. +∞ compares greater than every
 // finite rate and equal to itself.
 func (r Rate) Cmp(o Rate) int {
-	switch {
-	case r.inf && o.inf:
-		return 0
-	case r.inf:
-		return 1
-	case o.inf:
-		return -1
-	}
 	rn, rd, rok := r.parts()
 	on, od, ook := o.parts()
 	if rok && ook {
@@ -285,6 +414,17 @@ func (r Rate) Cmp(o Rate) int {
 		// overflows and never allocates (denominators are positive, so the
 		// comparison direction is preserved).
 		return cmp128(rn, od, on, rd)
+	}
+	switch {
+	case r.IsInf() && o.IsInf():
+		return 0
+	case r.IsInf():
+		return 1
+	case o.IsInf():
+		return -1
+	}
+	if c, ok := cmpWide(r, o); ok {
+		return c
 	}
 	return r.toBig().Cmp(o.toBig())
 }
@@ -366,11 +506,11 @@ func Max(r, o Rate) Rate {
 //
 //bneck:float the one sanctioned exit from exact arithmetic: a display conversion whose result never feeds back into rates.
 func (r Rate) Float64() float64 {
-	if r.inf {
+	switch r.tier() {
+	case tierInf:
 		return math.Inf(1)
-	}
-	if r.br != nil {
-		f, _ := r.br.Float64()
+	case tierWide, tierBig:
+		f, _ := r.toBig().Float64()
 		return f
 	}
 	n, d, _ := r.parts()
@@ -380,11 +520,22 @@ func (r Rate) Float64() float64 {
 // Key returns a canonical string representation usable as a map key. Equal
 // rates always produce equal keys.
 func (r Rate) Key() string {
-	if r.inf {
+	switch r.tier() {
+	case tierInf:
 		return "inf"
-	}
-	if r.br != nil {
-		return r.br.RatString()
+	case tierBig:
+		return r.x.br.RatString()
+	case tierWide:
+		neg, n, d, _ := r.wide()
+		var b []byte
+		if neg {
+			b = append(b, '-')
+		}
+		b = appendU128(b, n)
+		if d != one128 {
+			b = appendU128(append(b, '/'), d)
+		}
+		return string(b)
 	}
 	n, d, _ := r.parts()
 	if d == 1 {

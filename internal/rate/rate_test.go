@@ -145,8 +145,8 @@ func TestCmpOrdering(t *testing.T) {
 }
 
 func TestOverflowPromotion(t *testing.T) {
-	// 2^62/3 + 2^62/5: the cross multiplication overflows int64 so the big
-	// path must take over, and the result must still be exact.
+	// 2^62/3 + 2^62/5: the cross multiplication overflows int64 so the
+	// 128-bit tier must take over, and the result must still be exact.
 	big1 := FromFrac(1<<62, 3)
 	big2 := FromFrac(1<<62, 5)
 	got := big1.Add(big2)
@@ -154,14 +154,17 @@ func TestOverflowPromotion(t *testing.T) {
 	if got.Key() != want.RatString() {
 		t.Fatalf("overflowed add = %v, want %v", got.Key(), want.RatString())
 	}
+	if Tier(got) != "wide" {
+		t.Fatalf("overflowed add landed in tier %s, want wide", Tier(got))
+	}
 	// And back: subtracting one operand must return exactly the other and
 	// demote to the fast path.
 	back := got.Sub(big2)
 	if !back.Equal(big1) {
 		t.Fatalf("sub did not invert add: %v", back)
 	}
-	if back.br != nil {
-		t.Fatalf("result was not demoted to the int64 fast path")
+	if Tier(back) != "int64" {
+		t.Fatalf("result was not demoted to the int64 fast path: tier %s", Tier(back))
 	}
 }
 
@@ -173,8 +176,8 @@ func TestDemotionCanonical(t *testing.T) {
 	if a.Key() != b.Key() || !a.Equal(b) {
 		t.Fatalf("big/int paths disagree: %v vs %v", a, b)
 	}
-	if a.br != nil {
-		t.Fatalf("FromBigRat did not demote small value")
+	if Tier(a) != "int64" {
+		t.Fatalf("FromBigRat did not demote small value: tier %s", Tier(a))
 	}
 }
 
